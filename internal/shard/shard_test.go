@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"bytes"
+	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -150,6 +153,44 @@ func TestRunParallelCoversAllTasks(t *testing.T) {
 			t.Fatalf("task %d ran %d times", i, d)
 		}
 	}
+}
+
+// With one worker RunParallel must run every task inline, in index
+// order, on the caller's goroutine — a serial build starts no goroutine.
+func TestRunParallelOneWorkerRunsInline(t *testing.T) {
+	caller := goroutineID()
+	var order []int
+	for _, tc := range []struct{ n, workers int }{{5, 1}, {1, 4}} {
+		order = order[:0]
+		RunParallel(tc.n, tc.workers, func(i int) {
+			if id := goroutineID(); id != caller {
+				t.Errorf("n=%d workers=%d: task %d ran on goroutine %d, caller is %d",
+					tc.n, tc.workers, i, id, caller)
+			}
+			order = append(order, i)
+		})
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("n=%d workers=%d: task order %v", tc.n, tc.workers, order)
+			}
+		}
+		if len(order) != tc.n {
+			t.Fatalf("n=%d workers=%d: ran %d tasks", tc.n, tc.workers, len(order))
+		}
+	}
+}
+
+// goroutineID parses the current goroutine's id from its stack header
+// ("goroutine 18 [running]:").
+func goroutineID() uint64 {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
 }
 
 func TestRunParallelDefaults(t *testing.T) {

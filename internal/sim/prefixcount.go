@@ -48,6 +48,26 @@ func (pc *prefixCount) Add(id nodeid.ID) {
 	pc.total++
 }
 
+// addLeaf counts a node at the deepest prefix only, for bulk builds:
+// call sumLeaves once after the last addLeaf and before any read.
+// Counting one row and deriving the rest costs one increment per node
+// instead of depth+1 scattered ones.
+func (pc *prefixCount) addLeaf(id nodeid.ID) {
+	pc.counts[pc.depth][bucket(id, pc.depth)]++
+	pc.total++
+}
+
+// sumLeaves derives every shallower row from the deepest: the l-bit
+// prefix p is the union of the (l+1)-bit prefixes 2p and 2p+1.
+func (pc *prefixCount) sumLeaves() {
+	for l := pc.depth - 1; l >= 0; l-- {
+		row, below := pc.counts[l], pc.counts[l+1]
+		for p := range row {
+			row[p] = below[2*p] + below[2*p+1]
+		}
+	}
+}
+
 // Remove uncounts a node.
 func (pc *prefixCount) Remove(id nodeid.ID) {
 	for l := 0; l <= pc.depth; l++ {

@@ -51,6 +51,39 @@ func TestPrefixCountMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// A bulk build (addLeaf, then sumLeaves) must leave every row exactly
+// as per-node Adds do, including after Adds and Removes on top of it.
+func TestPrefixCountBulkBuildMatchesAdd(t *testing.T) {
+	for _, depth := range []int{0, 3, 12} {
+		bulk, each := newPrefixCount(depth), newPrefixCount(depth)
+		rng := xrand.New(uint64(depth) + 5)
+		var ids []nodeid.ID
+		for i := 0; i < 2000; i++ {
+			// Narrow top bits so prefixes collide at every depth.
+			id := nodeid.ID{Hi: rng.Uint64() >> rng.Intn(64), Lo: rng.Uint64()}
+			bulk.addLeaf(id)
+			each.Add(id)
+			ids = append(ids, id)
+		}
+		bulk.sumLeaves()
+		for i := 0; i < len(ids); i += 4 {
+			bulk.Remove(ids[i])
+			each.Remove(ids[i])
+		}
+		if bulk.Total() != each.Total() {
+			t.Fatalf("depth %d: Total %d != %d", depth, bulk.Total(), each.Total())
+		}
+		for l := range each.counts {
+			for p := range each.counts[l] {
+				if bulk.counts[l][p] != each.counts[l][p] {
+					t.Fatalf("depth %d: counts[%d][%d] = %d, per-node Add gives %d",
+						depth, l, p, bulk.counts[l][p], each.counts[l][p])
+				}
+			}
+		}
+	}
+}
+
 func TestPrefixCountDepthClamp(t *testing.T) {
 	pc := newPrefixCount(4)
 	id := nodeid.ID{Hi: ^uint64(0)}

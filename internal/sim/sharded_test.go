@@ -13,6 +13,7 @@ import (
 // match shards=1 exactly.
 func TestShardedScaledShardCountInvariance(t *testing.T) {
 	type snap struct {
+		build  uint64 // buildDigest right after construction
 		digest uint64
 		pop    int
 		events uint64
@@ -22,17 +23,22 @@ func TestShardedScaledShardCountInvariance(t *testing.T) {
 		cfg := DefaultShardedScaledConfig(3000, 1234, shards)
 		cfg.Workers = workers
 		s := NewShardedScaled(cfg)
+		build := buildDigest(s)
 		s.Run(45 * des.Minute)
-		return snap{s.Digest(), s.Population(), s.EventsExecuted(), s.LevelCounts()}
+		return snap{build, s.Digest(), s.Population(), s.EventsExecuted(), s.LevelCounts()}
 	}
 	base := run(1, 1)
 	if base.pop == 0 || base.events == 0 {
 		t.Fatalf("baseline run did nothing: %+v", base)
 	}
 	for _, tc := range []struct{ shards, workers int }{
-		{2, 1}, {8, 1}, {8, 4}, {256, 3},
+		{2, 1}, {2, 2}, {8, 1}, {8, 3}, {8, 4}, {256, 3}, {256, 8},
 	} {
 		got := run(tc.shards, tc.workers)
+		if got.build != base.build {
+			t.Errorf("shards=%d workers=%d: build digest %x != baseline %x",
+				tc.shards, tc.workers, got.build, base.build)
+		}
 		if got.digest != base.digest {
 			t.Errorf("shards=%d workers=%d: digest %x != baseline %x",
 				tc.shards, tc.workers, got.digest, base.digest)
@@ -50,6 +56,52 @@ func TestShardedScaledShardCountInvariance(t *testing.T) {
 				t.Errorf("shards=%d: level counts %v != %v", tc.shards, got.levels, base.levels)
 				break
 			}
+		}
+	}
+}
+
+// buildDigest extends Digest with the build state Digest leaves out:
+// each slice's death heap in pop order and its RNG position. The
+// population build is the one phase spread over workers, so this is
+// what worker count could leak into.
+func buildDigest(s *ShardedScaled) uint64 {
+	h := s.Digest()
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for _, sl := range s.slices {
+		deaths := append(deathHeap(nil), sl.deaths...)
+		for len(deaths) > 0 {
+			e := deaths.pop()
+			mix(uint64(e.at))
+			mix(uint64(e.slot))
+		}
+		rng := *sl.rng
+		mix(rng.Uint64())
+	}
+	return h
+}
+
+// The parallel population build must reproduce the serial build it
+// replaced: digests of a 200k-node population, right after construction
+// and after ten virtual minutes of churn, pinned from the serial
+// implementation.
+func TestShardedScaledBuildMatchesSerialDigests(t *testing.T) {
+	for _, tc := range []struct {
+		seed         uint64
+		build, after uint64
+	}{
+		{1, 0x4f14570c83d20555, 0x1357c26bf0f1870e},
+		{7, 0xc06b75cdfac68db8, 0x7e192afdb31c54e6},
+	} {
+		cfg := DefaultShardedScaledConfig(200000, tc.seed, 2)
+		cfg.Workers = 2
+		cfg.Workload.LifetimeRate = 1
+		s := NewShardedScaled(cfg)
+		if got := s.Digest(); got != tc.build {
+			t.Errorf("seed %d: digest after build %016x, serial build gave %016x", tc.seed, got, tc.build)
+		}
+		s.Run(10 * des.Minute)
+		if got := s.Digest(); got != tc.after {
+			t.Errorf("seed %d: digest after 10 min %016x, serial build gave %016x", tc.seed, got, tc.after)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"peerwindow/internal/des"
@@ -56,4 +57,28 @@ func BenchmarkShardedScaled1M(b *testing.B) {
 	b.ReportMetric(float64(s.EventsExecuted()-before)/b.Elapsed().Seconds(), "events/sec")
 	bytes, nodes := s.MemoryFootprint()
 	b.ReportMetric(float64(bytes)/float64(nodes), "bytes/node")
+}
+
+// Building the million-node population: the go test counterpart of the
+// benchmark's sim.build_ns_per_node. The build is parallel over the 256
+// identifier-space slices, so workers2 against workers1 shows how much
+// of it spreads across cores.
+func BenchmarkShardedScaledBuild1M(b *testing.B) {
+	const n = 1000000
+	for _, workers := range []int{1, 2} {
+		b.Run(map[int]string{1: "workers1", 2: "workers2"}[workers], func(b *testing.B) {
+			cfg := DefaultShardedScaledConfig(n, 1, 2)
+			cfg.Workers = workers
+			cfg.Workload.LifetimeRate = 1
+			for i := 0; i < b.N; i++ {
+				// Collect the previous population outside the timer, as
+				// perfbench does before each timed build.
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+				NewShardedScaled(cfg)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/node")
+		})
+	}
 }

@@ -223,26 +223,50 @@ func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 }
 
 // populate warm-starts every slice's share of the population at steady
-// levels, mid-life (residual lifetimes), and arms the per-slice death
-// timers.
+// levels, mid-life (residual lifetimes), and fills the per-slice death
+// heaps. It runs in two phases so the build spreads over cfg.Workers:
+//
+//  1. Per slice, in parallel: draw each node's profile, ID and residual
+//     lifetime from the slice's own stream, fill the slot arrays and the
+//     death heap. A slice task touches only its own popSlice, and it
+//     draws in exactly the order the serial build did, so every slice
+//     ends in the same state whichever worker ran it, and when.
+//  2. Serially: count the new nodes into the shared prefix snapshots.
+//     Counts are integer sums, so their order cannot matter.
+//
+// The result is bit-identical for any worker count; scheduling the
+// first arrivals, sweeps and death timers stays serial in slice order
+// (NewShardedScaled).
 func (s *ShardedScaled) populate() {
 	meanLife := s.cfg.Workload.EffectiveMeanLifetime()
 	perEvent := s.cfg.EventBits + s.cfg.AckBits
-	for _, sl := range s.slices {
+	shard.RunParallel(sliceCount, s.cfg.Workers, func(i int) {
+		sl := s.slices[i]
+		// Draw from a local copy: the 256 split sources sit back to back
+		// in memory, and workers stepping neighbouring ones in place
+		// false-share their cache lines.
+		rng := *sl.rng
 		for j := 0; j < sl.target; j++ {
-			profile := s.cfg.Workload.SampleProfile(sl.rng)
-			id := sliceID(sl.idx, sl.rng)
+			profile := s.cfg.Workload.SampleProfile(&rng)
+			id := sliceID(sl.idx, &rng)
 			level := SteadyLevel(s.cfg.N, meanLife, 2, perEvent, profile.Threshold, s.cfg.MaxLevel)
 			slot := sl.alloc()
 			sl.put(slot, id, profile.Threshold, level)
-			s.pop.Add(id)
-			s.lvl.Add(id, level)
-			sl.deaths.push(deathEntry{
-				at:   des.Time(s.cfg.Workload.SampleResidualLifetime(sl.rng)),
+			sl.deaths = append(sl.deaths, deathEntry{
+				at:   des.Time(s.cfg.Workload.SampleResidualLifetime(&rng)),
 				slot: slot,
 			})
 		}
+		sl.deaths.heapify()
+		*sl.rng = rng
+	})
+	for _, sl := range s.slices {
+		for slot, id := range sl.ids {
+			s.pop.addLeaf(id)
+			s.lvl.Add(id, int(sl.level[slot]))
+		}
 	}
+	s.pop.sumLeaves()
 }
 
 // scheduleArrival arms the slice's next Poisson arrival. Each slice runs

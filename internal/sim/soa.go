@@ -64,7 +64,23 @@ func (h *deathHeap) pop() deathEntry {
 	b[0] = b[n]
 	b = b[:n]
 	*h = b
-	i := 0
+	b.down(0)
+	return top
+}
+
+// heapify restores the heap order over arbitrary content in O(n), for
+// bulk builds. The layout differs from n pushes of the same entries, but
+// lessDeath is a strict total order (slots are unique), so the pop
+// sequence — all anyone observes — is the same.
+func (h deathHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts entry i towards the leaves until the heap order holds.
+func (b deathHeap) down(i int) {
+	n := len(b)
 	for {
 		c := 2*i + 1
 		if c >= n {
@@ -79,7 +95,6 @@ func (h *deathHeap) pop() deathEntry {
 		b[i], b[c] = b[c], b[i]
 		i = c
 	}
-	return top
 }
 
 // lessDeath breaks time ties by slot so the pop order is a pure function
@@ -95,9 +110,10 @@ func lessDeath(a, b deathEntry) bool {
 // arrays plus everything that slice decides on its own — its RNG stream,
 // its share of the Poisson arrival process, its departure heap, its
 // sweep, its event tie-break counter and its traffic accumulators. All
-// mutation happens on the owning shard's worker; everything global the
-// slice reads (prefix counts, churn rate) is frozen for the duration of
-// a window.
+// mutation happens on one goroutine at a time — one population-build
+// task, then the owning shard's worker; everything global the slice
+// reads (prefix counts, churn rate) is frozen for the duration of a
+// window.
 type popSlice struct {
 	shard  *scaledShard
 	idx    int32

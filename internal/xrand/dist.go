@@ -50,8 +50,9 @@ func (s *Source) Pareto(alpha, lo, hi float64) float64 {
 // interpolation between them. It is the workhorse for reproducing the
 // measured Gnutella CDFs the paper's workload is calibrated to.
 type PiecewiseCDF struct {
-	values []float64 // strictly increasing
-	cum    []float64 // strictly increasing, last entry 1.0
+	values    []float64 // strictly increasing
+	logValues []float64 // math.Log of each value, for Quantile
+	cum       []float64 // strictly increasing, last entry 1.0
 }
 
 // NewPiecewiseCDF validates and builds a PiecewiseCDF. values must be
@@ -74,10 +75,14 @@ func NewPiecewiseCDF(values, cum []float64) *PiecewiseCDF {
 		panic("xrand: PiecewiseCDF must end at cumulative probability 1")
 	}
 	v := make([]float64, len(values))
+	lv := make([]float64, len(values))
 	c := make([]float64, len(cum))
 	copy(v, values)
+	for i, x := range v {
+		lv[i] = math.Log(x)
+	}
 	copy(c, cum)
-	return &PiecewiseCDF{values: v, cum: c}
+	return &PiecewiseCDF{values: v, logValues: lv, cum: c}
 }
 
 // Quantile returns the value at cumulative probability p in [0,1], using
@@ -101,8 +106,7 @@ func (d *PiecewiseCDF) Quantile(p float64) float64 {
 		}
 	}
 	frac := (p - d.cum[lo]) / (d.cum[hi] - d.cum[lo])
-	lv := math.Log(d.values[lo])
-	hv := math.Log(d.values[hi])
+	lv, hv := d.logValues[lo], d.logValues[hi]
 	return math.Exp(lv + frac*(hv-lv))
 }
 

@@ -267,6 +267,43 @@ func TestPiecewiseCDFQuantile(t *testing.T) {
 	}
 }
 
+// Quantile reads breakpoint logs cached at construction; the result must
+// stay bit-identical to the direct log-linear formula, which every seeded
+// bandwidth draw depends on.
+func TestPiecewiseCDFQuantileMatchesDirectFormula(t *testing.T) {
+	values := []float64{56e3, 128e3, 512e3, 1e6, 5e6, 10e6, 45e6, 100e6}
+	cum := []float64{0.05, 0.10, 0.15, 0.20, 0.45, 0.65, 0.92, 1.00}
+	d := NewPiecewiseCDF(values, cum)
+	direct := func(p float64) float64 {
+		if p <= cum[0] {
+			return values[0]
+		}
+		if p >= 1 {
+			return values[len(values)-1]
+		}
+		hi := 1
+		for cum[hi] < p {
+			hi++
+		}
+		lo := hi - 1
+		frac := (p - cum[lo]) / (cum[hi] - cum[lo])
+		lv := math.Log(values[lo])
+		hv := math.Log(values[hi])
+		return math.Exp(lv + frac*(hv-lv))
+	}
+	const steps = 100000
+	ps := []float64{-1, 0, cum[0], math.Nextafter(cum[0], 1), 1, math.Nextafter(1, 0), 1.5}
+	ps = append(ps, cum...)
+	for i := 0; i <= steps; i++ {
+		ps = append(ps, float64(i)/steps)
+	}
+	for _, p := range ps {
+		if got, want := d.Quantile(p), direct(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Quantile(%v) = %v, direct formula %v", p, got, want)
+		}
+	}
+}
+
 func TestPiecewiseCDFSampleRange(t *testing.T) {
 	d := NewPiecewiseCDF([]float64{2, 20}, []float64{0.3, 1})
 	s := New(15)
